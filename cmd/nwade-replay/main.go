@@ -22,9 +22,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,10 +32,8 @@ import (
 	"time"
 
 	"nwade/internal/cliconf"
-	"nwade/internal/metrics"
 	"nwade/internal/nwade"
 	"nwade/internal/obs"
-	"nwade/internal/roadnet"
 	"nwade/internal/sim"
 	"nwade/internal/snap"
 )
@@ -66,21 +61,15 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-func summarize(out io.Writer, label string, res metrics.RunResult) {
-	fmt.Fprintf(out, "%-10s spawned=%d exited=%d collisions=%d digest=%s\n",
-		label, res.Spawned, res.Exited, res.Collisions, metrics.Digest(res))
-}
-
-func summarizeNet(out io.Writer, label string, n *roadnet.Network) {
-	var spawned, exited, collisions int
-	for _, res := range n.Results() {
-		spawned += res.Spawned
-		exited += res.Exited
-		collisions += res.Collisions
+// summarize prints a run's final totals and digest (plus handoffs for a
+// road network).
+func summarize(out io.Writer, label string, r *cliconf.Run) {
+	res := r.Result()
+	fmt.Fprintf(out, "%-10s spawned=%d exited=%d collisions=%d", label, res.Spawned, res.Exited, res.Collisions)
+	if n := r.Network(); n != nil {
+		fmt.Fprintf(out, " handoffs=%d", n.Stats().Handoffs)
 	}
-	st := n.Stats()
-	fmt.Fprintf(out, "%-10s spawned=%d exited=%d collisions=%d handoffs=%d digest=%s\n",
-		label, spawned, exited, collisions, st.Handoffs, n.Digest())
+	fmt.Fprintf(out, " digest=%s\n", res.Digest)
 }
 
 // runResume continues a checkpointed run to its configured duration.
@@ -98,24 +87,28 @@ func runResume(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if c.IsNetwork() {
-		n, err := roadnet.Restore(c.Cfg, c.Net)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "resumed at %v of %v (%d regions)\n", c.Now(), c.Cfg.Duration, n.Regions())
-		n.Run()
-		summarizeNet(out, "resumed", n)
-		return nil
-	}
-	e, err := sim.Restore(c.Cfg, c.State)
+	r, err := cliconf.Open(c.Cfg, c, nil, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "resumed at %v of %v (%d vehicles live)\n",
-		c.Now(), c.Cfg.Duration, len(c.State.Engine.Bodies))
-	summarize(out, "resumed", e.Run())
+	fmt.Fprintf(out, "resumed at %v of %v (%d vehicles live)\n", c.Now(), c.Cfg.Duration, liveVehicles(c.State))
+	r.Finish()
+	summarize(out, "resumed", r)
 	return nil
+}
+
+// liveVehicles counts the bodies still on the road in every region;
+// the state keeps exited vehicles' bodies too.
+func liveVehicles(st cliconf.State) int {
+	n := 0
+	for _, rs := range st.Regions() {
+		for _, b := range rs.Engine.Bodies {
+			if !b.Exited {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // runCheck replays the run continuously and resumed, and compares the
@@ -138,184 +131,47 @@ func runCheck(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if c.IsNetwork() {
-		cont, err := roadnet.New(c.Cfg, roadnet.WithSigners(signers))
-		if err != nil {
-			return err
-		}
-		cont.Run()
-		resumed, err := roadnet.Restore(c.Cfg, c.Net)
-		if err != nil {
-			return err
-		}
-		resumed.Run()
-		summarizeNet(out, "continuous", cont)
-		summarizeNet(out, "resumed", resumed)
-		if cont.Digest() != resumed.Digest() {
-			return fmt.Errorf("check: resumed run diverged from continuous run (bisect to localize)")
-		}
-		fmt.Fprintln(out, "check: digests match")
-		return nil
-	}
-	cont, err := sim.New(c.Cfg, sim.WithSigner(signers[0]))
+	cont, err := cliconf.Open(c.Cfg, nil, nil, signers)
 	if err != nil {
 		return err
 	}
-	contRes := cont.Run()
-	resumed, err := sim.Restore(c.Cfg, c.State)
+	resumed, err := cliconf.Open(c.Cfg, c, nil, nil)
 	if err != nil {
 		return err
 	}
-	resRes := resumed.Run()
-	summarize(out, "continuous", contRes)
-	summarize(out, "resumed", resRes)
-	if metrics.Digest(contRes) != metrics.Digest(resRes) {
+	contDigest, resDigest := cont.Finish().Digest, resumed.Finish().Digest
+	summarize(out, "continuous", cont)
+	summarize(out, "resumed", resumed)
+	if contDigest != resDigest {
 		return fmt.Errorf("check: resumed run diverged from continuous run (bisect to localize)")
 	}
 	fmt.Fprintln(out, "check: digests match")
 	return nil
 }
 
-// replayable abstracts the two run kinds for the bisector: restore a
-// state, step to a tick, snapshot, and digest per subsystem.
-type replayable interface {
-	// stateNow returns the simulated time a state was taken at.
-	stateNow(st any) time.Duration
-	// advance restores st, steps to tick t, and snapshots.
-	advance(st any, t time.Duration) (any, error)
-	// digests fingerprints every subsystem of a state.
-	digests(st any) (map[string]string, error)
-	// clone deep-copies a state.
-	clone(st any) (any, error)
-	// subsystems lists the digest keys, in report order.
-	subsystems() []string
-}
-
-// simReplay is the single-intersection replayable.
-type simReplay struct{ cfg sim.Scenario }
-
-func (r simReplay) stateNow(st any) time.Duration { return st.(*sim.State).Engine.Now }
-
-func (r simReplay) advance(st any, t time.Duration) (any, error) {
-	e, err := sim.Restore(r.cfg, st.(*sim.State))
-	if err != nil {
-		return nil, err
-	}
-	for e.Now() < t {
-		e.Step()
-	}
-	return e.Snapshot()
-}
-
-func (r simReplay) digests(st any) (map[string]string, error) {
-	per, _, err := snap.Digests(st.(*sim.State))
-	return per, err
-}
-
-func (r simReplay) clone(st any) (any, error) {
-	b, err := json.Marshal(st.(*sim.State))
-	if err != nil {
-		return nil, fmt.Errorf("bisect: clone: %w", err)
-	}
-	out := &sim.State{}
-	if err := json.Unmarshal(b, out); err != nil {
-		return nil, fmt.Errorf("bisect: clone: %w", err)
-	}
-	return out, nil
-}
-
-func (r simReplay) subsystems() []string { return snap.Subsystems }
-
-// netReplay is the road-network replayable. Subsystem keys are
-// region-qualified (r0/engine ... rN/collector) plus "backbone" for the
-// cross-region state: inter-IM messages in flight, suspect and head
-// tables, and the handoff counters.
-type netReplay struct {
-	cfg     sim.Scenario
-	regions int
-}
-
-func (r netReplay) stateNow(st any) time.Duration { return st.(*roadnet.State).Now }
-
-func (r netReplay) advance(st any, t time.Duration) (any, error) {
-	n, err := roadnet.Restore(r.cfg, st.(*roadnet.State))
-	if err != nil {
-		return nil, err
-	}
-	for n.Now() < t {
-		n.Step()
-	}
-	return n.Snapshot()
-}
-
-func (r netReplay) digests(st any) (map[string]string, error) {
-	ns := st.(*roadnet.State)
-	out := make(map[string]string, r.regions*len(snap.Subsystems)+1)
-	for i, rs := range ns.Regions {
-		per, _, err := snap.Digests(rs)
-		if err != nil {
-			return nil, fmt.Errorf("region %d: %w", i, err)
-		}
-		for sub, d := range per {
-			out[fmt.Sprintf("r%d/%s", i, sub)] = d
-		}
-	}
-	cross := struct {
-		Backbone any
-		Tables   any
-		Stats    roadnet.Stats
-	}{ns.Backbone, ns.Tables, ns.Stats}
-	b, err := json.Marshal(cross)
-	if err != nil {
-		return nil, fmt.Errorf("backbone digest: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	out["backbone"] = hex.EncodeToString(sum[:])
-	return out, nil
-}
-
-func (r netReplay) clone(st any) (any, error) {
-	b, err := st.(*roadnet.State).Encode()
-	if err != nil {
-		return nil, fmt.Errorf("bisect: clone: %w", err)
-	}
-	return roadnet.DecodeState(b)
-}
-
-func (r netReplay) subsystems() []string {
-	out := make([]string, 0, r.regions*len(snap.Subsystems)+1)
-	for i := 0; i < r.regions; i++ {
-		for _, sub := range snap.Subsystems {
-			out = append(out, fmt.Sprintf("r%d/%s", i, sub))
-		}
-	}
-	return append(out, "backbone")
-}
-
-// lane is one replayable run for the bisector: a base state plus a memo
-// of per-tick snapshots, so probing tick t restores from the nearest
-// snapshot at or before t instead of stepping from the start each time.
-// An optional perturbation is applied the moment the lane reaches its
-// tick; snapshots at or past it always derive from the perturbed state.
+// lane is one run the bisector replays: a memo of per-tick snapshots,
+// seeded with the base state, so probing tick t restores from the
+// nearest snapshot at or before t instead of stepping from the start
+// each time. An optional perturbation is applied the moment the lane
+// reaches its tick; snapshots at or past it always derive from the
+// perturbed state.
 type lane struct {
-	rp        replayable
-	base      any
+	cfg       sim.Scenario
 	perturbAt time.Duration
-	perturb   func(any) error
-	cache     map[time.Duration]any
+	perturb   func(cliconf.State) error
+	cache     map[time.Duration]cliconf.State
 }
 
-func newLane(rp replayable, base any) *lane {
-	return &lane{rp: rp, base: base,
-		cache: map[time.Duration]any{rp.stateNow(base): base}}
+func newLane(cfg sim.Scenario, base cliconf.State) *lane {
+	return &lane{cfg: cfg, cache: map[time.Duration]cliconf.State{base.Now(): base}}
 }
 
 // stateAt returns the lane's state at tick boundary t (a multiple of the
 // step, at or after the base tick). Callers must not mutate the result.
-func (l *lane) stateAt(t time.Duration) (any, error) {
+func (l *lane) stateAt(t time.Duration) (cliconf.State, error) {
 	if l.perturb != nil && t >= l.perturbAt {
 		if err := l.ensurePerturbed(); err != nil {
-			return nil, err
+			return cliconf.State{}, err
 		}
 	}
 	if st, ok := l.cache[t]; ok {
@@ -334,14 +190,26 @@ func (l *lane) stateAt(t time.Duration) (any, error) {
 		}
 	}
 	if fromTick < 0 {
-		return nil, fmt.Errorf("bisect: no snapshot at or before %v", t)
+		return cliconf.State{}, fmt.Errorf("bisect: no snapshot at or before %v", t)
 	}
-	st, err := l.rp.advance(l.cache[fromTick], t)
+	st, err := l.advance(l.cache[fromTick], t)
 	if err != nil {
-		return nil, err
+		return cliconf.State{}, err
 	}
 	l.cache[t] = st
 	return st, nil
+}
+
+// advance restores st, steps to tick t, and snapshots.
+func (l *lane) advance(st cliconf.State, t time.Duration) (cliconf.State, error) {
+	r, err := cliconf.Open(l.cfg, &cliconf.Checkpoint{State: st}, nil, nil)
+	if err != nil {
+		return cliconf.State{}, err
+	}
+	for r.Now() < t {
+		r.Step()
+	}
+	return r.Snapshot()
 }
 
 // ensurePerturbed computes the state at the perturbation tick, applies
@@ -357,9 +225,9 @@ func (l *lane) ensurePerturbed() error {
 	if err != nil {
 		return err
 	}
-	mutated, err := l.rp.clone(st)
+	mutated, err := st.Clone()
 	if err != nil {
-		return err
+		return fmt.Errorf("bisect: %w", err)
 	}
 	if err := fn(mutated); err != nil {
 		return err
@@ -412,11 +280,11 @@ func perturbFn(sub string) (func(*sim.State) error, error) {
 	}
 }
 
-// parsePerturb parses "<duration>:<subsystem>" — for network runs the
-// subsystem may carry a region prefix ("12s:r3/engine", default r0) or
-// name the backbone ("12s:backbone") — and returns the tick and the
-// type-erased state mutation.
-func parsePerturb(s string, network bool, regions int) (time.Duration, func(any) error, error) {
+// parsePerturb parses "<duration>:<subsystem>" — the subsystem may
+// carry a region prefix ("12s:r3/engine", default r0) or, for a road
+// network, name the backbone ("12s:backbone") — and returns the tick and
+// the mutation of a state shaped like base.
+func parsePerturb(s string, base cliconf.State) (time.Duration, func(cliconf.State) error, error) {
 	at, sub, ok := strings.Cut(s, ":")
 	if !ok {
 		return 0, nil, fmt.Errorf("bisect: -perturb wants <duration>:<subsystem>, got %q", s)
@@ -425,24 +293,16 @@ func parsePerturb(s string, network bool, regions int) (time.Duration, func(any)
 	if err != nil {
 		return 0, nil, fmt.Errorf("bisect: -perturb time: %w", err)
 	}
-	if !network {
-		fn, err := perturbFn(sub)
-		if err != nil {
-			return 0, nil, err
-		}
-		return tick, func(st any) error { return fn(st.(*sim.State)) }, nil
-	}
-	if sub == "backbone" {
-		return tick, func(st any) error {
-			ns := st.(*roadnet.State)
-			if len(ns.Backbone.Queue) == 0 {
-				return fmt.Errorf("bisect: no queued backbone delivery to perturb at %v", ns.Now)
+	if sub == "backbone" && base.Net != nil {
+		return tick, func(st cliconf.State) error {
+			if len(st.Net.Backbone.Queue) == 0 {
+				return fmt.Errorf("bisect: no queued backbone delivery to perturb at %v", st.Now())
 			}
-			ns.Backbone.Queue[0].Deliver += 100 * time.Millisecond
+			st.Net.Backbone.Queue[0].Deliver += 100 * time.Millisecond
 			return nil
 		}, nil
 	}
-	region := 0
+	region, regions := 0, len(base.Regions())
 	if rest, ok := strings.CutPrefix(sub, "r"); ok {
 		if rs, subsys, ok := strings.Cut(rest, "/"); ok {
 			region, err = strconv.Atoi(rs)
@@ -459,7 +319,7 @@ func parsePerturb(s string, network bool, regions int) (time.Duration, func(any)
 	if err != nil {
 		return 0, nil, err
 	}
-	return tick, func(st any) error { return fn(st.(*roadnet.State).Regions[region]) }, nil
+	return tick, func(st cliconf.State) error { return fn(st.Regions()[region]) }, nil
 }
 
 // runBisect binary-searches the first tick at which the resumed run's
@@ -495,43 +355,21 @@ func runBisect(args []string, out io.Writer) error {
 	// digests are comparable), snapshotted at the checkpoint tick.
 	// Candidate lane: the checkpointed state itself, optionally
 	// perturbed.
-	var rp replayable
-	var refBase, candBase any
-	if c.IsNetwork() {
-		n, err := roadnet.New(cfg, roadnet.WithSigners(signers))
-		if err != nil {
-			return err
-		}
-		for n.Now() < base {
-			n.Step()
-		}
-		if refBase, err = n.Snapshot(); err != nil {
-			return err
-		}
-		rp = netReplay{cfg: cfg, regions: n.Regions()}
-		candBase = c.Net
-	} else {
-		e, err := sim.New(cfg, sim.WithSigner(signers[0]))
-		if err != nil {
-			return err
-		}
-		for e.Now() < base {
-			e.Step()
-		}
-		if refBase, err = e.Snapshot(); err != nil {
-			return err
-		}
-		rp = simReplay{cfg: cfg}
-		candBase = c.State
+	cont, err := cliconf.Open(cfg, nil, nil, signers)
+	if err != nil {
+		return err
 	}
-	ref := newLane(rp, refBase)
-	cand := newLane(rp, candBase)
+	for cont.Now() < base {
+		cont.Step()
+	}
+	refBase, err := cont.Snapshot()
+	if err != nil {
+		return err
+	}
+	ref := newLane(cfg, refBase)
+	cand := newLane(cfg, c.State)
 	if *perturb != "" {
-		regions := 0
-		if nr, ok := rp.(netReplay); ok {
-			regions = nr.regions
-		}
-		tick, fn, err := parsePerturb(*perturb, c.IsNetwork(), regions)
+		tick, fn, err := parsePerturb(*perturb, c.State)
 		if err != nil {
 			return err
 		}
@@ -551,18 +389,18 @@ func runBisect(args []string, out io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		rd, err := rp.digests(rs)
+		rd, err := rs.Digests()
 		if err != nil {
 			return nil, err
 		}
-		cd, err := rp.digests(cs)
+		cd, err := cs.Digests()
 		if err != nil {
 			return nil, err
 		}
 		var diff []string
-		for _, name := range rp.subsystems() {
-			if rd[name] != cd[name] {
-				diff = append(diff, name)
+		for i := range rd {
+			if rd[i] != cd[i] {
+				diff = append(diff, rd[i].Name)
 			}
 		}
 		return diff, nil

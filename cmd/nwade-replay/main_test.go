@@ -10,6 +10,7 @@ import (
 
 	"nwade/internal/attack"
 	"nwade/internal/chain"
+	"nwade/internal/cliconf"
 	"nwade/internal/intersection"
 	"nwade/internal/sim"
 	"nwade/internal/snap"
@@ -87,6 +88,47 @@ func TestResumeAndCheck(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "check: digests match") {
 		t.Errorf("check output:\n%s", buf.String())
+	}
+}
+
+// TestResumeCountsLiveVehicles: the resume banner counts the vehicles
+// still on the road, not every body the state holds (exited vehicles
+// keep theirs).
+func TestResumeCountsLiveVehicles(t *testing.T) {
+	f := cliconf.Defaults()
+	f.Seed, f.Duration, f.KeyBits = 3, 60*time.Second, 512
+	cfg, err := f.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := cliconf.Open(cfg, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.Now() < 50*time.Second {
+		r.Step()
+	}
+	spec, err := snap.SpecFromScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.snap")
+	if err := r.Checkpoint(path, spec); err != nil {
+		t.Fatal(err)
+	}
+	st, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bodies := len(st.Single.Engine.Bodies); bodies != 78 {
+		t.Fatalf("state holds %d bodies, want 78 (60 live + 18 exited)", bodies)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"resume", "-in", path}, &buf); err != nil {
+		t.Fatalf("resume: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "resumed at 50s of 1m0s (60 vehicles live)") {
+		t.Errorf("resume banner miscounts live vehicles:\n%s", buf.String())
 	}
 }
 

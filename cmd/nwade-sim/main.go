@@ -67,41 +67,28 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var ckpt *cliconf.Checkpoint
 	if *resume != "" {
-		// The checkpoint decides single vs network; peek before routing.
-		c, err := cliconf.Load(*resume)
-		if err != nil {
+		if ckpt, err = cliconf.Load(*resume); err != nil {
 			return err
 		}
-		if c.IsNetwork() {
-			return runNetwork(out, c.Cfg, c, *events, *ckptEvery, *ckptDir)
-		}
-		return runSingle(out, c.Cfg, c, singleRun{
-			Events: *events, TraceOut: *traceOut, ObsRep: *obsRep, PprofOut: *pprofOut,
-			CkptEvery: *ckptEvery, CkptDir: *ckptDir, ResumePath: *resume,
-		})
-	}
-	if cfg.IsNetwork() {
-		if *rounds > 1 {
-			return fmt.Errorf("-rounds applies to single-intersection runs, not -network %s", cfg.Network)
-		}
-		if *traceOut != "" || *obsRep || *pprofOut != "" {
-			return fmt.Errorf("-trace/-obs/-pprof are not supported with -network yet")
-		}
-		return runNetwork(out, cfg, nil, *events, *ckptEvery, *ckptDir)
+		cfg = ckpt.Cfg
 	}
 	if *rounds > 1 {
+		if cfg.IsNetwork() {
+			return fmt.Errorf("-rounds applies to single-intersection runs, not -network %s", cfg.Network)
+		}
 		return runRounds(out, cfg, cf, *rounds, *workers, *traceOut, *obsRep)
 	}
-	return runSingle(out, cfg, nil, singleRun{
+	return runOne(out, cfg, ckpt, oneRun{
 		Events: *events, TraceOut: *traceOut, ObsRep: *obsRep, PprofOut: *pprofOut,
-		CkptEvery: *ckptEvery, CkptDir: *ckptDir,
+		CkptEvery: *ckptEvery, CkptDir: *ckptDir, ResumePath: *resume,
 	})
 }
 
-// singleRun bundles the tool-specific knobs of one single-intersection
-// run; the scenario itself comes from cliconf (or a checkpoint spec).
-type singleRun struct {
+// oneRun bundles the tool-specific knobs of one run; the scenario itself
+// comes from cliconf (or a checkpoint spec).
+type oneRun struct {
 	Events     bool
 	TraceOut   string
 	ObsRep     bool
@@ -113,14 +100,14 @@ type singleRun struct {
 
 // newSink builds the observability sink when any of -trace/-obs/-pprof
 // asks for one (nil otherwise, so the default run pays only nil checks).
-func newSink(cfg sim.Scenario, sr singleRun) (*obs.Sink, func(), error) {
-	if sr.TraceOut == "" && !sr.ObsRep && sr.PprofOut == "" {
+func newSink(cfg sim.Scenario, or oneRun) (*obs.Sink, func(), error) {
+	if or.TraceOut == "" && !or.ObsRep && or.PprofOut == "" {
 		return nil, func() {}, nil
 	}
-	o := obs.Options{Profile: sr.PprofOut != ""}
+	o := obs.Options{Profile: or.PprofOut != ""}
 	closers := []func(){}
-	if sr.TraceOut != "" {
-		tf, err := os.Create(sr.TraceOut)
+	if or.TraceOut != "" {
+		tf, err := os.Create(or.TraceOut)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -143,16 +130,19 @@ func newSink(cfg sim.Scenario, sr singleRun) (*obs.Sink, func(), error) {
 	return sink, cleanup, nil
 }
 
-// runSingle executes one single-intersection run, fresh or resumed.
-func runSingle(out io.Writer, cfg sim.Scenario, ckpt *cliconf.Checkpoint, sr singleRun) error {
+// runOne executes one run, single-intersection or network, fresh or
+// resumed, writing a checkpoint (ckpt-<time>.snap) at every multiple of
+// -checkpoint-every. Checkpointing observes state at tick boundaries
+// without perturbing it, so the result equals an uncheckpointed run's.
+func runOne(out io.Writer, cfg sim.Scenario, ckpt *cliconf.Checkpoint, or oneRun) error {
 	cfg = cfg.Normalize()
-	sink, cleanup, err := newSink(cfg, sr)
+	sink, cleanup, err := newSink(cfg, or)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-	if sr.PprofOut != "" {
-		pf, err := os.Create(sr.PprofOut)
+	if or.PprofOut != "" {
+		pf, err := os.Create(or.PprofOut)
 		if err != nil {
 			return err
 		}
@@ -162,33 +152,40 @@ func runSingle(out io.Writer, cfg sim.Scenario, ckpt *cliconf.Checkpoint, sr sin
 		}
 		defer pprof.StopCPUProfile()
 	}
-	simOpts := []sim.Option{}
-	if sink != nil {
-		simOpts = append(simOpts, sim.WithObs(sink))
+	r, err := cliconf.Open(cfg, ckpt, sink, nil)
+	if err != nil {
+		return err
 	}
-	var engine *sim.Engine
 	if ckpt != nil {
-		engine, err = sim.Restore(cfg, ckpt.State, simOpts...)
+		fmt.Fprintf(out, "resumed      : %s at %v\n", or.ResumePath, ckpt.Now())
+	}
+	if or.CkptEvery > 0 {
+		spec, err := snap.SpecFromScenario(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "resumed      : %s at %v\n", sr.ResumePath, ckpt.Now())
-	} else {
-		engine, err = sim.New(cfg, simOpts...)
-		if err != nil {
-			return err
+		for next := r.Now() + or.CkptEvery; next < cfg.Duration; next += or.CkptEvery {
+			for r.Now() < next {
+				r.Step()
+			}
+			path := filepath.Join(or.CkptDir, fmt.Sprintf("ckpt-%s.snap", r.Now()))
+			if err := r.Checkpoint(path, spec); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "checkpoint   : %s\n", path)
 		}
 	}
-	var res metrics.RunResult
-	if sr.CkptEvery > 0 {
-		res, err = runWithCheckpoints(out, engine, cfg, sr.CkptEvery, sr.CkptDir)
-		if err != nil {
-			return err
-		}
+	res := r.Finish()
+	if n := r.Network(); n != nil {
+		printNetwork(out, cfg, n, res, or.Events)
 	} else {
-		res = engine.Run()
+		printSingle(out, cfg, r.Engine(), res.PerRegion[0], or.Events)
 	}
+	return finishObs(out, sink, or.ObsRep, or.TraceOut)
+}
 
+// printSingle reports a single-intersection run.
+func printSingle(out io.Writer, cfg sim.Scenario, engine *sim.Engine, res metrics.RunResult, events bool) {
 	fmt.Fprintf(out, "intersection : %s\n", cfg.Intersection)
 	fmt.Fprintf(out, "scenario     : %s (attack at %v)\n", cfg.Attack.Name, cfg.Attack.AttackAt)
 	fmt.Fprintf(out, "density      : %g veh/min for %v (seed %d, NWADE %v)\n", cfg.RatePerMin, cfg.Duration, cfg.Seed, cfg.NWADE)
@@ -203,38 +200,14 @@ func runSingle(out io.Writer, cfg sim.Scenario, ckpt *cliconf.Checkpoint, sr sin
 		fmt.Fprintf(out, "coalition    : violator=%v falseReporters=%v\n", roles.Violator, roles.FalseReporters)
 	}
 	printPackets(out, res.Net.Packets, res.Net.Bytes, res.Net.TotalPackets())
-	if sr.Events {
+	if events {
 		fmt.Fprintln(out, "\nprotocol events:")
 		printEvents(out, "  ", res.Collector.Events())
 	}
-	return finishObs(out, sink, sr.ObsRep, sr.TraceOut)
 }
 
-// runNetwork executes a multi-intersection run, fresh or resumed from a
-// network checkpoint.
-func runNetwork(out io.Writer, cfg sim.Scenario, ckpt *cliconf.Checkpoint, events bool, ckptEvery time.Duration, ckptDir string) error {
-	cfg = cfg.Normalize()
-	var n *roadnet.Network
-	var err error
-	if ckpt != nil {
-		n, err = roadnet.Restore(cfg, ckpt.Net)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "resumed      : network at %v\n", ckpt.Now())
-	} else {
-		n, err = roadnet.New(cfg)
-		if err != nil {
-			return err
-		}
-	}
-	if ckptEvery > 0 {
-		if err := runNetworkCheckpoints(out, n, cfg, ckptEvery, ckptDir); err != nil {
-			return err
-		}
-	}
-	results := n.Run()
-
+// printNetwork reports a road-network run region by region.
+func printNetwork(out io.Writer, cfg sim.Scenario, n *roadnet.Network, res cliconf.Result, events bool) {
 	topo := n.Topology()
 	fmt.Fprintf(out, "network      : %s (%dx%d, %d regions, layout %s)\n",
 		cfg.Network, topo.Rows, topo.Cols, len(topo.Regions), cfg.Intersection)
@@ -242,25 +215,21 @@ func runNetwork(out io.Writer, cfg sim.Scenario, ckpt *cliconf.Checkpoint, event
 	fmt.Fprintf(out, "density      : %g veh/min for %v (seed %d, NWADE %v, workers %d)\n",
 		cfg.RatePerMin, cfg.Duration, cfg.Seed, cfg.NWADE, cfg.Workers)
 	fmt.Fprintf(out, "\n  %-7s %-12s %8s %8s %11s\n", "region", "layout", "spawned", "exited", "collisions")
-	var spawned, exited, collisions int
-	for i, res := range results {
+	for i, rr := range res.PerRegion {
 		fmt.Fprintf(out, "  %-7d %-12s %8d %8d %11d\n",
-			i, topo.Regions[i].Inter.Name, res.Spawned, res.Exited, res.Collisions)
-		spawned += res.Spawned
-		exited += res.Exited
-		collisions += res.Collisions
+			i, topo.Regions[i].Inter.Name, rr.Spawned, rr.Exited, rr.Collisions)
 	}
-	fmt.Fprintf(out, "  %-7s %-12s %8d %8d %11d\n", "TOTAL", "", spawned, exited, collisions)
+	fmt.Fprintf(out, "  %-7s %-12s %8d %8d %11d\n", "TOTAL", "", res.Spawned, res.Exited, res.Collisions)
 	st := n.Stats()
 	fmt.Fprintf(out, "\nhandoffs     : %d (boundary exits %d)\n", st.Handoffs, st.BoundaryExits)
 	fmt.Fprintf(out, "watch        : %d reports, %d relays, %d advisories\n", st.Reports, st.ReportRelays, st.Advisories)
 	fmt.Fprintf(out, "head exchange: %d beacons, %d mismatches\n", st.HeadBeacons, st.HeadMismatches)
 	bb := n.BackboneStats()
 	printPackets(out, bb.Packets, bb.Bytes, bb.TotalPackets())
-	fmt.Fprintf(out, "digest       : %s\n", n.Digest())
+	fmt.Fprintf(out, "digest       : %s\n", res.Digest)
 	if events {
-		for i, res := range results {
-			evs := res.Collector.Events()
+		for i, rr := range res.PerRegion {
+			evs := rr.Collector.Events()
 			if len(evs) == 0 {
 				continue
 			}
@@ -268,36 +237,6 @@ func runNetwork(out io.Writer, cfg sim.Scenario, ckpt *cliconf.Checkpoint, event
 			printEvents(out, "  ", evs)
 		}
 	}
-	return nil
-}
-
-// runNetworkCheckpoints drives the network up to (but not through) its
-// duration, writing a checkpoint at every multiple of the interval; the
-// caller's Run finishes the remainder.
-func runNetworkCheckpoints(out io.Writer, n *roadnet.Network, cfg sim.Scenario, every time.Duration, dir string) error {
-	spec, err := snap.SpecFromScenario(cfg)
-	if err != nil {
-		return err
-	}
-	for next := n.Now() + every; next < cfg.Duration; next += every {
-		for n.Now() < next {
-			n.Step()
-		}
-		st, err := n.Snapshot()
-		if err != nil {
-			return err
-		}
-		raw, err := st.Encode()
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, fmt.Sprintf("ckpt-%s.snap", n.Now()))
-		if err := snap.WriteNetFile(path, spec, raw); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "checkpoint   : %s\n", path)
-	}
-	return nil
 }
 
 // printPackets renders a packets-by-kind table.
@@ -361,10 +300,9 @@ func runRounds(out io.Writer, cfg sim.Scenario, cf *cliconf.Flags, rounds, worke
 			fmt.Fprintln(out, "note: -trace forces -workers 1")
 			workers = 1
 		}
-		sr := singleRun{TraceOut: traceOut, ObsRep: obsRep}
 		var cleanup func()
 		var err error
-		sink, cleanup, err = newSink(cfg, sr)
+		sink, cleanup, err = newSink(cfg, oneRun{TraceOut: traceOut, ObsRep: obsRep})
 		if err != nil {
 			return err
 		}
@@ -427,31 +365,4 @@ func runRounds(out io.Writer, cfg sim.Scenario, cf *cliconf.Flags, rounds, worke
 			dropped, duplicated, retransmits)
 	}
 	return finishObs(out, sink, obsRep, traceOut)
-}
-
-// runWithCheckpoints drives the engine to its duration, writing a
-// checkpoint (ckpt-<time>.snap) at every multiple of the interval. The
-// result is identical to engine.Run(): checkpointing observes state at
-// tick boundaries without perturbing it.
-func runWithCheckpoints(out io.Writer, e *sim.Engine, cfg sim.Scenario, every time.Duration, dir string) (metrics.RunResult, error) {
-	spec, err := snap.SpecFromScenario(cfg)
-	if err != nil {
-		return metrics.RunResult{}, err
-	}
-	duration := cfg.Normalize().Duration
-	for next := e.Now() + every; next < duration; next += every {
-		for e.Now() < next {
-			e.Step()
-		}
-		path := filepath.Join(dir, fmt.Sprintf("ckpt-%s.snap", e.Now()))
-		st, err := e.Snapshot()
-		if err != nil {
-			return metrics.RunResult{}, err
-		}
-		if err := snap.WriteFile(path, spec, st); err != nil {
-			return metrics.RunResult{}, err
-		}
-		fmt.Fprintf(out, "checkpoint   : %s\n", path)
-	}
-	return e.Run(), nil
 }

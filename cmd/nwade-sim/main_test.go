@@ -64,6 +64,44 @@ func TestRunTraceAndObs(t *testing.T) {
 	}
 }
 
+// TestNetworkObs: -obs works on a network run, fresh or resumed, like
+// on a single intersection — and observing does not move the digest.
+func TestNetworkObs(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-network", "grid:2x2", "-scenario", "V3", "-attack-region", "1",
+		"-duration", "6s", "-keybits", "512", "-seed", "7"}
+	digest := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "digest") {
+				return line
+			}
+		}
+		t.Fatalf("no digest line:\n%s", out)
+		return ""
+	}
+	var plain, observed, resumed bytes.Buffer
+	if err := run(append(base, "-checkpoint-every", "3s", "-checkpoint-dir", dir), &plain); err != nil {
+		t.Fatalf("run: %v\n%s", err, plain.String())
+	}
+	if err := run(append(base, "-obs"), &observed); err != nil {
+		t.Fatalf("run -obs: %v\n%s", err, observed.String())
+	}
+	if err := run([]string{"-resume", filepath.Join(dir, "ckpt-3s.snap"), "-obs"}, &resumed); err != nil {
+		t.Fatalf("resume -obs: %v\n%s", err, resumed.String())
+	}
+	for _, tc := range []struct{ name, out string }{
+		{"fresh", observed.String()}, {"resumed", resumed.String()},
+	} {
+		name, out := tc.name, tc.out
+		if !strings.Contains(out, "observability summary") {
+			t.Errorf("%s network -obs printed no report:\n%s", name, out)
+		}
+		if digest(out) != digest(plain.String()) {
+			t.Errorf("%s network -obs digest %q, want %q", name, digest(out), digest(plain.String()))
+		}
+	}
+}
+
 func TestRunBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scenario", "nope"},

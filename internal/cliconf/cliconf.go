@@ -1,8 +1,9 @@
 // Package cliconf is the shared scenario surface of the NWADE command
-// line tools: one set of flags that resolves to a sim.Scenario, and one
+// line tools: one set of flags that resolves to a sim.Scenario, one
 // checkpoint loader that handles both single-intersection and network
-// files. Both nwade-sim and nwade-replay build their runs exclusively
-// through this package, so a scenario means the same thing everywhere.
+// files, and one runner (Run) that drives either kind. nwade-sim,
+// nwade-replay and nwade-serve build their runs exclusively through this
+// package, so a scenario means the same thing everywhere.
 package cliconf
 
 import (
@@ -124,36 +125,17 @@ func (f *Flags) Build() (sim.Scenario, error) {
 }
 
 // Checkpoint is a loaded checkpoint file: the spec, the scenario it
-// rebuilds, and exactly one of the two state forms.
+// rebuilds, and the run state it holds.
 type Checkpoint struct {
 	Spec snap.Spec
 	Cfg  sim.Scenario
-	// State is set for single-intersection checkpoints.
-	State *sim.State
-	// Net is set for network checkpoints.
-	Net *roadnet.State
+	State
 }
 
-// IsNetwork reports which state form the checkpoint holds.
-func (c *Checkpoint) IsNetwork() bool { return c.Net != nil }
-
-// Now is the simulated time the checkpoint was taken at.
-func (c *Checkpoint) Now() time.Duration {
-	if c.Net != nil {
-		return c.Net.Now
-	}
-	return c.State.Engine.Now
-}
-
-// Signers restores the checkpoint's signing keys: one for a single
-// intersection, one per region for a network.
+// Signers restores the checkpoint's signing keys: one per region, a
+// single intersection being one region.
 func (c *Checkpoint) Signers() ([]*chain.Signer, error) {
-	var states []*sim.State
-	if c.State != nil {
-		states = []*sim.State{c.State}
-	} else {
-		states = c.Net.Regions
-	}
+	states := c.Regions()
 	out := make([]*chain.Signer, len(states))
 	for i, st := range states {
 		s, err := chain.RestoreSigner(st.Protocol.Signer)
@@ -187,7 +169,7 @@ func Load(path string) (*Checkpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.Spec, c.State = spec, st
+		c.Spec, c.Single = spec, st
 	}
 	c.Cfg, err = c.Spec.Scenario()
 	if err != nil {

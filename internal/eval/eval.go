@@ -64,7 +64,7 @@ type Config struct {
 	// an interrupted sweep resumes per cell (see RunCellsStored); cells
 	// already in the store are loaded instead of re-run. Results are
 	// identical with or without a store.
-	Store CellStore
+	Store Queue
 	// Obs, when non-nil, is installed into every simulation round:
 	// counters and histograms aggregate across the whole sweep (the sink
 	// is internally synchronized). Callers that also give the sink a

@@ -1,6 +1,7 @@
-// The sweep work queue: DirStore generalized into a lease-based,
-// directory-backed queue so a fleet of workers — goroutines, processes,
-// or machines sharing a filesystem — can drain one sweep cooperatively.
+// The sweep cell store: a lease-based, directory-backed queue so a fleet
+// of workers — goroutines, processes, or machines sharing a filesystem —
+// can drain one sweep cooperatively, and a single worker can resume an
+// interrupted sweep per cell.
 //
 // Cell lifecycle: pending (no file) → leased (<key>.lease.g<N>) →
 // done (<key>.json). Leases carry an owner, an opaque token, and an
@@ -22,11 +23,12 @@
 //     once across crashes: a reclaimed cell re-runs, which is safe for
 //     the same reason recording is.
 //   - A worker whose lease was reclaimed learns so at Complete time
-//     (ErrLeaseLost) instead of silently double-recording.
+//     (ErrLeaseLost) instead of silently double-recording. A lost lease
+//     that nobody reclaimed (vanished, or holding a foreign record) is
+//     recorded by its worker anyway, so it never strands the cell.
 package eval
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,12 +45,14 @@ import (
 // recording.
 var ErrLeaseLost = errors.New("eval: lease lost to another worker")
 
-// Queue extends CellStore with cooperative lease semantics. RunCellsStored
-// detects a Queue-capable store and switches from the write-through cache
-// protocol to the drain protocol: lease before run, complete after,
-// defer cells another worker holds.
+// Queue is the sweep cell store: finished cells persist between runs,
+// and cooperative leases let several workers drain one cell set.
+// RunCellsStored drives it: lease before run, complete after, defer
+// cells another worker holds. Implementations must be safe for
+// concurrent use.
 type Queue interface {
-	CellStore
+	// Load reads a completed cell; ok=false on a missing key.
+	Load(key string) ([]byte, bool, error)
 	// TryLease attempts to claim a cell. It returns nil (and no error)
 	// when the cell is already completed or currently leased by a live
 	// worker; an expired lease is reclaimed transparently.
@@ -130,13 +134,12 @@ type QueueStats struct {
 	Quarantined int64
 }
 
-// DirQueue is the directory-backed Queue (and CellStore): one done-file
-// per cell plus transient lease files, shareable between processes and —
-// over a shared filesystem — machines. It is safe for concurrent use.
+// DirQueue is the directory-backed Queue: one done-file per cell plus
+// transient lease files, shareable between processes and — over a
+// shared filesystem — machines. It is safe for concurrent use.
 type DirQueue struct {
 	dir  string
 	opts QueueOptions
-	seq  atomic.Int64
 
 	// floorMu guards genFloor: per cell, the highest lease generation
 	// this process has observed. Generations only grow, so probes start
@@ -181,9 +184,15 @@ func (q *DirQueue) leaseName(key string, gen int) string {
 	return filepath.Join(q.dir, fmt.Sprintf("%s.lease.g%d", key, gen))
 }
 
+// suffixSeq numbers temp files and lease tokens. It is process-wide,
+// not per queue: two queues over one directory in one process would
+// otherwise build the same temp name, and one contender could publish
+// the other's lease record under its own generation.
+var suffixSeq atomic.Int64
+
 // uniqueSuffix builds process-unique file suffixes without randomness.
-func (q *DirQueue) uniqueSuffix() string {
-	return fmt.Sprintf("%d-%d", os.Getpid(), q.seq.Add(1))
+func uniqueSuffix() string {
+	return fmt.Sprintf("%d-%d", os.Getpid(), suffixSeq.Add(1))
 }
 
 // Load reads one completed cell; a missing file is a miss, not an error.
@@ -250,7 +259,7 @@ func (q *DirQueue) acquire(key string, gen int) (*Lease, error) {
 	now := q.opts.Now()
 	rec := leaseRecord{
 		Owner:          q.opts.Owner,
-		Token:          q.opts.Owner + "-" + q.uniqueSuffix(),
+		Token:          q.opts.Owner + "-" + uniqueSuffix(),
 		AcquiredUnixNS: now.UnixNano(),
 		ExpiresUnixNS:  now.Add(q.opts.LeaseTTL).UnixNano(),
 	}
@@ -258,7 +267,7 @@ func (q *DirQueue) acquire(key string, gen int) (*Lease, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: cell queue: %w", err)
 	}
-	tmp := filepath.Join(q.dir, ".lease.tmp-"+q.uniqueSuffix())
+	tmp := filepath.Join(q.dir, ".lease.tmp-"+uniqueSuffix())
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return nil, fmt.Errorf("eval: cell queue: %w", err)
 	}
@@ -391,6 +400,19 @@ func (q *DirQueue) Complete(l *Lease, data []byte) error {
 	}
 	if cur == nil || gen != l.gen || cur.Token != l.token {
 		q.conflicts.Add(1)
+		// With no later generation on disk nobody reclaimed the cell
+		// from us: our lease vanished or holds a record that is not
+		// ours, so no live worker may be left to record the cell, and
+		// it would sit unrecorded until that record's TTL ran out.
+		// Cells are deterministic in their key, so record our bytes.
+		if gen <= l.gen {
+			if _, err := os.Stat(q.path(l.Key)); os.IsNotExist(err) {
+				if err := q.writeAtomic(l.Key, data); err != nil {
+					return err
+				}
+				q.executed.Add(1)
+			}
+		}
 		return fmt.Errorf("eval: complete %s: %w", l.Key, ErrLeaseLost)
 	}
 	if err := q.writeAtomic(l.Key, data); err != nil {
@@ -424,7 +446,7 @@ func (q *DirQueue) Release(l *Lease) error {
 // <key>.corrupt-<pid>-<seq> so the cell re-runs. A concurrent
 // quarantine of the same cell is a no-op.
 func (q *DirQueue) Quarantine(key string) error {
-	target := filepath.Join(q.dir, key+".corrupt-"+q.uniqueSuffix())
+	target := filepath.Join(q.dir, key+".corrupt-"+uniqueSuffix())
 	err := os.Rename(q.path(key), target)
 	if os.IsNotExist(err) {
 		return nil
@@ -436,48 +458,10 @@ func (q *DirQueue) Quarantine(key string) error {
 	return nil
 }
 
-// Save implements CellStore through the lease protocol, so even callers
-// on the plain write-through interface get claim-before-write semantics
-// (the historical DirStore wrote unconditionally, letting two workers
-// sharing a directory both claim a cell). An identical completed record
-// — cells are deterministic in their key — satisfies the save as-is; a
-// differing one (torn write, older record format the caller recomputed)
-// is quarantined and replaced. A cell another worker holds is waited
-// out, then resolved the same way.
-func (q *DirQueue) Save(key string, data []byte) error {
-	for {
-		l, err := q.TryLease(key)
-		if err != nil {
-			return err
-		}
-		if l != nil {
-			err := q.Complete(l, data)
-			if errors.Is(err, ErrLeaseLost) {
-				return nil // the reclaimer records the identical bytes
-			}
-			return err
-		}
-		existing, ok, err := q.Load(key)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if bytes.Equal(existing, data) {
-				return nil
-			}
-			if err := q.Quarantine(key); err != nil {
-				return err
-			}
-			continue
-		}
-		time.Sleep(q.opts.Poll)
-	}
-}
-
 // writeAtomic writes one done-file via temp + rename, so a crash
 // mid-write cannot leave a torn cell that poisons the next drain.
 func (q *DirQueue) writeAtomic(key string, data []byte) error {
-	tmp := filepath.Join(q.dir, key+".tmp-"+q.uniqueSuffix())
+	tmp := filepath.Join(q.dir, key+".tmp-"+uniqueSuffix())
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("eval: cell queue: %w", err)
 	}

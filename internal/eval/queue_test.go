@@ -424,24 +424,24 @@ func BenchmarkTryLeaseBusyCrowdedDir(b *testing.B) {
 	}
 }
 
-// TestSaveQuarantinesDiffering: Save over an existing, differing record
-// (a stale format the caller recomputed) replaces it and preserves the
-// old bytes in a quarantine file rather than silently clobbering them.
-func TestSaveQuarantinesDiffering(t *testing.T) {
+// TestQuarantinePreservesOldRecord: a completed record is final until
+// it is quarantined (a stale format the caller recomputes); the re-run
+// replaces it and the old bytes survive in a quarantine file rather than
+// being silently clobbered.
+func TestQuarantinePreservesOldRecord(t *testing.T) {
 	dir := t.TempDir()
 	q, err := NewDirQueue(dir, QueueOptions{Owner: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Save("k", []byte("old")); err != nil {
+	record(t, q, "k", "old")
+	if l, err := q.TryLease("k"); err != nil || l != nil {
+		t.Fatalf("TryLease on a recorded cell = %v, %v; want a no-op", l, err)
+	}
+	if err := q.Quarantine("k"); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Save("k", []byte("old")); err != nil {
-		t.Fatal(err) // identical bytes: a no-op, not a conflict
-	}
-	if err := q.Save("k", []byte("new")); err != nil {
-		t.Fatal(err)
-	}
+	record(t, q, "k", "new")
 	if data, _, err := q.Load("k"); err != nil || string(data) != "new" {
 		t.Fatalf("Load = %q, %v; want the replacement", data, err)
 	}
@@ -451,5 +451,95 @@ func TestSaveQuarantinesDiffering(t *testing.T) {
 	}
 	if data, err := os.ReadFile(old[0]); err != nil || string(data) != "old" {
 		t.Fatalf("quarantine holds %q, %v; want the old bytes", data, err)
+	}
+}
+
+// TestCompleteRecordsUnreclaimedLostLease: a lease that was lost without
+// anyone reclaiming it — its file vanished, or it holds a foreign record
+// — still gets ErrLeaseLost, but its worker records the cell, so the
+// cell is never stranded until a lease TTL runs out.
+func TestCompleteRecordsUnreclaimedLostLease(t *testing.T) {
+	dir := t.TempDir()
+	qa, err := NewDirQueue(dir, QueueOptions{Owner: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qb, err := NewDirQueue(dir, QueueOptions{Owner: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key  string
+		lose func(l *Lease) error
+	}{
+		{"vanished", func(l *Lease) error { return os.Remove(qa.leaseName(l.Key, l.gen)) }},
+		{"foreign", func(l *Lease) error {
+			return os.WriteFile(qa.leaseName(l.Key, l.gen), []byte(`{"Owner":"b","Token":"b-x","ExpiresUnixNS":9223372036854775807}`), 0o644)
+		}},
+	} {
+		l, err := qa.TryLease(tc.key)
+		if err != nil || l == nil {
+			t.Fatalf("%s: TryLease = %v, %v", tc.key, l, err)
+		}
+		if err := tc.lose(l); err != nil {
+			t.Fatal(err)
+		}
+		if err := qa.Complete(l, []byte("r")); !errors.Is(err, ErrLeaseLost) {
+			t.Fatalf("%s: Complete err = %v, want ErrLeaseLost", tc.key, err)
+		}
+		if data, ok, err := qb.Load(tc.key); err != nil || !ok || string(data) != "r" {
+			t.Fatalf("%s: Load = %q ok=%v err=%v; want the lost lease's record", tc.key, data, ok, err)
+		}
+		if l, err := qb.TryLease(tc.key); err != nil || l != nil {
+			t.Fatalf("%s: TryLease on the recorded cell = %v, %v; want nil, nil", tc.key, l, err)
+		}
+	}
+	if st := qa.Stats(); st.Conflicts != 2 || st.Executed != 2 {
+		t.Errorf("stats = %+v, want Conflicts=2 Executed=2", st)
+	}
+}
+
+// TestFailedDrainReleasesLeases: a drain that fails — a cell errors or
+// panics — leaves no lease behind, so the next drain claims those cells
+// at once instead of waiting out the lease TTL.
+func TestFailedDrainReleasesLeases(t *testing.T) {
+	dir := t.TempDir()
+	q, err := NewDirQueue(dir, QueueOptions{Owner: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []int{1, 2, 3, 4}
+	key := func(i int, c int) string { return fmt.Sprintf("cell-%d", c) }
+	if _, err := RunCellsStored(2, q, key, intCodec(), cells, func(c int) (int, error) {
+		switch c {
+		case 2:
+			return 0, errors.New("boom")
+		case 3:
+			panic("boom")
+		}
+		return c, nil
+	}); err == nil {
+		t.Fatal("drain with failing cells succeeded")
+	}
+	leases, err := filepath.Glob(filepath.Join(dir, "*.lease.*"))
+	if err != nil || len(leases) != 0 {
+		t.Fatalf("lease residue after a failed drain: %v (err %v)", leases, err)
+	}
+	clk := newFakeClock() // frozen: no lease can expire before the retry
+	q2, err := NewDirQueue(dir, QueueOptions{Owner: "b", Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunCellsStored(2, q2, key, intCodec(), cells, func(c int) (int, error) { return c, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if got[i] != c {
+			t.Errorf("cell %d = %d, want %d", i, got[i], c)
+		}
+	}
+	if st := q2.Stats(); st.Reclaimed != 0 {
+		t.Errorf("retry reclaimed %d leases, want 0 (all released)", st.Reclaimed)
 	}
 }

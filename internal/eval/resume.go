@@ -1,5 +1,5 @@
-// Per-cell sweep resume: finished simulation rounds persist to a
-// CellStore so an interrupted multi-hour sweep restarts where it
+// Per-cell sweep resume: finished simulation rounds persist to a cell
+// store (Queue) so an interrupted multi-hour sweep restarts where it
 // stopped instead of from zero. A cell's key digests everything that
 // determines its outcome — the harness configuration and the full round
 // configuration — so a stale store entry (different code knobs, seeds,
@@ -23,76 +23,6 @@ import (
 	"nwade/internal/plan"
 	"nwade/internal/vnet"
 )
-
-// CellStore persists finished sweep cells between runs. Load reports
-// ok=false on a missing key. Implementations must be safe for
-// concurrent use: RunCells invokes cells from a worker pool.
-type CellStore interface {
-	Load(key string) ([]byte, bool, error)
-	Save(key string, data []byte) error
-}
-
-// NewDirStore opens a directory-backed cell store, creating the
-// directory if needed. Historically this returned a write-through
-// DirStore whose cell files carried no lease or ownership metadata, so
-// two workers sharing a directory could both claim — and both run — the
-// same cell. It now returns a *DirQueue (see queue.go): every directory
-// store runs the lease protocol, and single-worker resume is simply the
-// uncontended case.
-func NewDirStore(dir string) (*DirQueue, error) {
-	return NewDirQueue(dir, QueueOptions{})
-}
-
-// CellCodec serializes one cell result for a CellStore.
-type CellCodec[R any] struct {
-	Encode func(R) ([]byte, error)
-	Decode func([]byte) (R, error)
-}
-
-// RunCellsStored is RunCells with a write-through cache: a cell whose
-// key is already in the store decodes instead of running; a freshly-run
-// cell is saved before it is returned. A corrupt or undecodable store
-// entry falls back to running the cell; a failed save fails the cell
-// (silently losing checkpoints would defeat the resume). A nil store
-// degrades to plain RunCells; a Queue-capable store switches to the
-// cooperative drain protocol (see drain.go), under which several
-// workers sharing the store each execute a disjoint subset of the cells
-// while every worker still returns the full result set.
-func RunCellsStored[C, R any](workers int, store CellStore, key func(int, C) string,
-	codec CellCodec[R], cells []C, run func(C) (R, error)) ([]R, error) {
-	if store == nil {
-		return RunCells(workers, cells, run)
-	}
-	if q, ok := store.(Queue); ok {
-		return runCellsQueued(workers, q, key, codec, cells, run)
-	}
-	idx := make([]int, len(cells))
-	for i := range idx {
-		idx[i] = i
-	}
-	return RunCells(workers, idx, func(i int) (R, error) {
-		c := cells[i]
-		k := key(i, c)
-		if data, ok, err := store.Load(k); err == nil && ok {
-			if r, derr := codec.Decode(data); derr == nil {
-				return r, nil
-			}
-			// Undecodable (older format, torn write): recompute.
-		}
-		r, err := run(c)
-		if err != nil {
-			return r, err
-		}
-		data, err := codec.Encode(r)
-		if err != nil {
-			return r, fmt.Errorf("eval: encode cell %s: %w", k, err)
-		}
-		if err := store.Save(k, data); err != nil {
-			return r, err
-		}
-		return r, nil
-	})
-}
 
 // --- outcome serialization --------------------------------------------
 

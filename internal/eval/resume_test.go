@@ -16,23 +16,21 @@ import (
 	"nwade/internal/sim"
 )
 
-func TestDirStore(t *testing.T) {
-	s, err := NewDirStore(filepath.Join(t.TempDir(), "cells"))
+func TestDirQueueRoundTrip(t *testing.T) {
+	q, err := NewDirQueue(filepath.Join(t.TempDir(), "cells"), QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.Load("missing"); err != nil || ok {
+	if _, ok, err := q.Load("missing"); err != nil || ok {
 		t.Fatalf("Load(missing) = ok=%v err=%v, want miss", ok, err)
 	}
-	if err := s.Save("k1", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	data, ok, err := s.Load("k1")
+	record(t, q, "k1", "hello")
+	data, ok, err := q.Load("k1")
 	if err != nil || !ok || string(data) != "hello" {
 		t.Fatalf("Load(k1) = %q ok=%v err=%v", data, ok, err)
 	}
-	// No temp droppings after a successful save.
-	entries, err := os.ReadDir(filepath.Join(filepath.Dir(s.path("x")), "."))
+	// No temp or lease droppings after a successful completion.
+	entries, err := os.ReadDir(filepath.Join(filepath.Dir(q.path("x")), "."))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,24 +39,37 @@ func TestDirStore(t *testing.T) {
 	}
 }
 
-// countingStore wraps a CellStore and counts saves, so tests can assert
-// how many cells actually ran (every fresh run saves exactly once).
-type countingStore struct {
-	CellStore
-	saves atomic.Int64
+// record leases a cell and completes it with data.
+func record(t *testing.T, q *DirQueue, key, data string) {
+	t.Helper()
+	l, err := q.TryLease(key)
+	if err != nil || l == nil {
+		t.Fatalf("TryLease(%s) = %v, %v; want a lease", key, l, err)
+	}
+	if err := q.Complete(l, []byte(data)); err != nil {
+		t.Fatal(err)
+	}
 }
 
-func (c *countingStore) Save(key string, data []byte) error {
-	c.saves.Add(1)
-	return c.CellStore.Save(key, data)
+// countingQueue wraps a DirQueue and counts completions, so tests can
+// assert how many cells actually ran (every fresh run completes exactly
+// once).
+type countingQueue struct {
+	*DirQueue
+	completes atomic.Int64
+}
+
+func (c *countingQueue) Complete(l *Lease, data []byte) error {
+	c.completes.Add(1)
+	return c.DirQueue.Complete(l, data)
 }
 
 func TestRunCellsStored(t *testing.T) {
-	dir, err := NewDirStore(t.TempDir())
+	dir, err := NewDirQueue(t.TempDir(), QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := &countingStore{CellStore: dir}
+	store := &countingQueue{DirQueue: dir}
 	codec := CellCodec[int]{
 		Encode: func(v int) ([]byte, error) { return []byte(fmt.Sprintf("%d", v)), nil },
 		Decode: func(b []byte) (int, error) { var v int; _, err := fmt.Sscanf(string(b), "%d", &v); return v, err },
@@ -77,13 +88,13 @@ func TestRunCellsStored(t *testing.T) {
 			t.Errorf("cell %d = %d, want %d", i, got[i], 2*c)
 		}
 	}
-	if runs.Load() != 4 || store.saves.Load() != 4 {
-		t.Fatalf("first pass: runs=%d saves=%d, want 4/4", runs.Load(), store.saves.Load())
+	if runs.Load() != 4 || store.completes.Load() != 4 {
+		t.Fatalf("first pass: runs=%d completes=%d, want 4/4", runs.Load(), store.completes.Load())
 	}
 
 	// Second pass: everything loads, nothing runs.
 	runs.Store(0)
-	store.saves.Store(0)
+	store.completes.Store(0)
 	got, err = RunCellsStored(2, store, key, codec, cells, double)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +109,7 @@ func TestRunCellsStored(t *testing.T) {
 	}
 
 	// A corrupt entry falls back to running that one cell.
-	if err := dir.Save("cell-3", []byte("not a number")); err != nil {
+	if err := os.WriteFile(dir.path("cell-3"), []byte("not a number"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	runs.Store(0)
@@ -177,11 +188,11 @@ func TestSweepResumesPerCell(t *testing.T) {
 		}
 		return specs
 	}
-	dir, err := NewDirStore(t.TempDir())
+	dir, err := NewDirQueue(t.TempDir(), QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := &countingStore{CellStore: dir}
+	store := &countingQueue{DirQueue: dir}
 	evalCfg := Config{Rounds: 1, Duration: 6 * time.Second, KeyBits: 1024, Store: store}
 
 	r1, err := newRunner(evalCfg)
@@ -192,11 +203,11 @@ func TestSweepResumesPerCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.saves.Load() != 3 {
-		t.Fatalf("first sweep saved %d cells, want 3", store.saves.Load())
+	if store.completes.Load() != 3 {
+		t.Fatalf("first sweep completed %d cells, want 3", store.completes.Load())
 	}
 
-	store.saves.Store(0)
+	store.completes.Store(0)
 	r2, err := newRunner(evalCfg) // fresh signer: cells must still hit
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +216,8 @@ func TestSweepResumesPerCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.saves.Load() != 0 {
-		t.Errorf("resumed sweep re-ran %d cells, want 0", store.saves.Load())
+	if store.completes.Load() != 0 {
+		t.Errorf("resumed sweep re-ran %d cells, want 0", store.completes.Load())
 	}
 	for i := range first {
 		if metrics.Digest(first[i].res) != metrics.Digest(second[i].res) {

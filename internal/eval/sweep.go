@@ -133,7 +133,7 @@ var errProbeAbort = errors.New("eval: sweep aborted by spec probe")
 
 // runSpecs executes one engine per spec across the worker pool, sharing
 // the runner's signing key, and returns the outcomes in spec order.
-// When the runner's Config carries a CellStore, finished rounds persist
+// When the runner's Config carries a Store, finished rounds persist
 // and already-stored rounds load instead of re-running.
 func (r *runner) runSpecs(specs []simSpec) ([]*outcome, error) {
 	if specProbe != nil {

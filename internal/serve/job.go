@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nwade/internal/cliconf"
 	"nwade/internal/obs"
+	"nwade/internal/sim"
 	"nwade/internal/snap"
 )
 
@@ -203,12 +205,12 @@ func (j *job) setError(err error) {
 }
 
 // runJob executes one job on a pool worker: build (or restore) the
-// engine — single-intersection or road-network, behind one runner
-// interface — step it to completion with periodic checkpoints, record
-// the result. The digest of a job that was killed and resumed, drained
-// and adopted by another daemon, or suspended any number of times is
-// bit-identical to an uninterrupted run — the engine's restore
-// guarantee, which the CI service job re-proves end to end.
+// run — single-intersection or road-network, behind cliconf.Run — step
+// it to completion with periodic checkpoints, record the result. The
+// digest of a job that was killed and resumed, drained and adopted by
+// another daemon, or suspended any number of times is bit-identical to
+// an uninterrupted run — the engine's restore guarantee, which the CI
+// service job re-proves end to end.
 func (s *Server) runJob(j *job) {
 	if j.cancel.Load() {
 		j.finish(func(r *JobRecord) { r.State = JobCanceled })
@@ -238,7 +240,7 @@ func (s *Server) runJob(j *job) {
 		DurationNS:   int64(duration),
 	})
 
-	run, err := newRunner(cfg, j.ckptPath(), sink)
+	run, err := openRun(cfg, j.ckptPath(), sink)
 	if err != nil {
 		s.failJob(j, err)
 		return
@@ -290,7 +292,7 @@ func (s *Server) runJob(j *job) {
 			time.Sleep(throttle)
 		}
 	}
-	res := run.Result()
+	res := jobResult(run.Result())
 	if err := sink.Close(); err != nil {
 		s.failJob(j, fmt.Errorf("trace: %w", err))
 		return
@@ -301,10 +303,43 @@ func (s *Server) runJob(j *job) {
 	})
 }
 
-// checkpoint snapshots the runner at the current tick boundary and
+// openRun builds the job's run, or restores it when a checkpoint exists
+// at ckptPath. The checkpoint's own kind — single or network — decides;
+// it can never disagree with cfg because both derive from the same
+// persisted spec.
+func openRun(cfg sim.Scenario, ckptPath string, sink *obs.Sink) (*cliconf.Run, error) {
+	var ckpt *cliconf.Checkpoint
+	if _, err := os.Stat(ckptPath); err == nil {
+		if ckpt, err = cliconf.Load(ckptPath); err != nil {
+			return nil, fmt.Errorf("resume checkpoint: %w", err)
+		}
+	}
+	run, err := cliconf.Open(cfg, ckpt, sink, nil)
+	if err != nil && ckpt != nil {
+		return nil, fmt.Errorf("resume checkpoint: %w", err)
+	}
+	return run, err
+}
+
+// jobResult renders a run's result in the API form. A network job's
+// digest is the network digest — exactly what nwade-sim -network
+// prints — so an HTTP-submitted job and a batch run of the same
+// scenario compare by one string.
+func jobResult(res cliconf.Result) JobResult {
+	return JobResult{
+		Spawned:     res.Spawned,
+		Exited:      res.Exited,
+		Collisions:  res.Collisions,
+		Retransmits: res.Retransmits,
+		Regions:     res.Regions,
+		Digest:      res.Digest,
+	}
+}
+
+// checkpoint snapshots the run at the current tick boundary and
 // replaces ckpt.snap atomically: at every instant there is exactly one
 // complete checkpoint on disk for a killed daemon to resume from.
-func (s *Server) checkpoint(j *job, run runner, spec snap.Spec) error {
+func (s *Server) checkpoint(j *job, run *cliconf.Run, spec snap.Spec) error {
 	tmp := j.ckptPath() + ".tmp"
 	if err := run.Checkpoint(tmp, spec); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -318,7 +353,7 @@ func (s *Server) checkpoint(j *job, run runner, spec snap.Spec) error {
 // suspendJob parks a running job for daemon shutdown: checkpoint at the
 // current boundary, back to queued, stream closed. The next daemon
 // start re-enqueues it and the engine restores exactly here.
-func (s *Server) suspendJob(j *job, run runner, spec snap.Spec) {
+func (s *Server) suspendJob(j *job, run *cliconf.Run, spec snap.Spec) {
 	if err := s.checkpoint(j, run, spec); err != nil {
 		s.failJob(j, fmt.Errorf("suspend: %w", err))
 		return
@@ -337,7 +372,7 @@ func (s *Server) suspendJob(j *job, run runner, spec snap.Spec) {
 // current boundary, mark parked, release the trace stream. The job
 // directory is now self-contained — another daemon adopts it with
 // Import and finishes it digest-identically.
-func (s *Server) parkJob(j *job, run runner, spec snap.Spec) {
+func (s *Server) parkJob(j *job, run *cliconf.Run, spec snap.Spec) {
 	if err := s.checkpoint(j, run, spec); err != nil {
 		s.failJob(j, fmt.Errorf("drain: %w", err))
 		return
