@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		pprofOut  = fs.String("pprof", "", "write a CPU profile to this file (enables wall-clock span timing)")
 		ckptEvery = fs.Duration("checkpoint-every", 0, "write a checkpoint every interval of simulated time (single run only; resume with -resume or nwade-replay)")
 		ckptDir   = fs.String("checkpoint-dir", ".", "directory for -checkpoint-every files (ckpt-<time>.snap)")
-		resume    = fs.String("resume", "", "resume from a checkpoint file; the checkpoint's spec replaces the configuration flags")
+		resume    = fs.String("resume", "", "resume from a checkpoint file; the checkpoint's spec replaces the scenario flags (-tick-workers still applies)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,7 +72,10 @@ func run(args []string, out io.Writer) error {
 		if ckpt, err = cliconf.Load(*resume); err != nil {
 			return err
 		}
+		// The worker count is runtime configuration, not checkpoint
+		// state: keep the flag's value.
 		cfg = ckpt.Cfg
+		cfg.Workers = cf.TickWorkers
 	}
 	if *rounds > 1 {
 		if cfg.IsNetwork() {
@@ -179,13 +182,14 @@ func runOne(out io.Writer, cfg sim.Scenario, ckpt *cliconf.Checkpoint, or oneRun
 	if n := r.Network(); n != nil {
 		printNetwork(out, cfg, n, res, or.Events)
 	} else {
-		printSingle(out, cfg, r.Engine(), res.PerRegion[0], or.Events)
+		printSingle(out, cfg, r.Engine(), res, or.Events)
 	}
 	return finishObs(out, sink, or.ObsRep, or.TraceOut)
 }
 
 // printSingle reports a single-intersection run.
-func printSingle(out io.Writer, cfg sim.Scenario, engine *sim.Engine, res metrics.RunResult, events bool) {
+func printSingle(out io.Writer, cfg sim.Scenario, engine *sim.Engine, rr cliconf.Result, events bool) {
+	res := rr.PerRegion[0]
 	fmt.Fprintf(out, "intersection : %s\n", cfg.Intersection)
 	fmt.Fprintf(out, "scenario     : %s (attack at %v)\n", cfg.Attack.Name, cfg.Attack.AttackAt)
 	fmt.Fprintf(out, "density      : %g veh/min for %v (seed %d, NWADE %v)\n", cfg.RatePerMin, cfg.Duration, cfg.Seed, cfg.NWADE)
@@ -200,6 +204,7 @@ func printSingle(out io.Writer, cfg sim.Scenario, engine *sim.Engine, res metric
 		fmt.Fprintf(out, "coalition    : violator=%v falseReporters=%v\n", roles.Violator, roles.FalseReporters)
 	}
 	printPackets(out, res.Net.Packets, res.Net.Bytes, res.Net.TotalPackets())
+	fmt.Fprintf(out, "digest       : %s\n", rr.Digest)
 	if events {
 		fmt.Fprintln(out, "\nprotocol events:")
 		printEvents(out, "  ", res.Collector.Events())

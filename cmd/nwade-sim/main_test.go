@@ -70,15 +70,7 @@ func TestNetworkObs(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-network", "grid:2x2", "-scenario", "V3", "-attack-region", "1",
 		"-duration", "6s", "-keybits", "512", "-seed", "7"}
-	digest := func(out string) string {
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "digest") {
-				return line
-			}
-		}
-		t.Fatalf("no digest line:\n%s", out)
-		return ""
-	}
+	digest := func(out string) string { return digestLine(t, out) }
 	var plain, observed, resumed bytes.Buffer
 	if err := run(append(base, "-checkpoint-every", "3s", "-checkpoint-dir", dir), &plain); err != nil {
 		t.Fatalf("run: %v\n%s", err, plain.String())
@@ -99,6 +91,41 @@ func TestNetworkObs(t *testing.T) {
 		if digest(out) != digest(plain.String()) {
 			t.Errorf("%s network -obs digest %q, want %q", name, digest(out), digest(plain.String()))
 		}
+	}
+}
+
+// digestLine returns the run's "digest : ..." line.
+func digestLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "digest") {
+			return line
+		}
+	}
+	t.Fatalf("no digest line:\n%s", out)
+	return ""
+}
+
+// TestResumeKeepsTickWorkers: the region pool size is runtime
+// configuration, not checkpoint state, so -resume keeps -tick-workers
+// instead of the checkpoint's default, and the digest does not move.
+func TestResumeKeepsTickWorkers(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-network", "grid:2x2", "-duration", "6s", "-keybits", "512", "-seed", "7", "-tick-workers", "4"}
+	var fresh, resumed bytes.Buffer
+	if err := run(append(args, "-checkpoint-every", "3s", "-checkpoint-dir", dir), &fresh); err != nil {
+		t.Fatalf("run: %v\n%s", err, fresh.String())
+	}
+	if err := run([]string{"-resume", filepath.Join(dir, "ckpt-3s.snap"), "-tick-workers", "4"}, &resumed); err != nil {
+		t.Fatalf("resume: %v\n%s", err, resumed.String())
+	}
+	for name, out := range map[string]string{"fresh": fresh.String(), "resumed": resumed.String()} {
+		if !strings.Contains(out, "workers 4") {
+			t.Errorf("%s run does not report workers 4:\n%s", name, out)
+		}
+	}
+	if got, want := digestLine(t, resumed.String()), digestLine(t, fresh.String()); got != want {
+		t.Errorf("resumed digest %q, want %q", got, want)
 	}
 }
 
@@ -123,6 +150,7 @@ func TestCheckpointAndResume(t *testing.T) {
 	if err := run(args, &buf); err != nil {
 		t.Fatalf("checkpointed run: %v\n%s", err, buf.String())
 	}
+	full := digestLine(t, buf.String())
 	for _, name := range []string{"ckpt-2s.snap", "ckpt-4s.snap"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("missing checkpoint %s: %v\n%s", name, err, buf.String())
@@ -140,6 +168,9 @@ func TestCheckpointAndResume(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("resume output missing %q:\n%s", want, out)
 		}
+	}
+	if got := digestLine(t, out); got != full {
+		t.Errorf("resumed digest %q, want the checkpointed run's %q", got, full)
 	}
 }
 

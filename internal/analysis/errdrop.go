@@ -44,7 +44,6 @@ func DefaultErrDropConfig() ErrDropConfig {
 		{PkgPath: "nwade/internal/snap", Recv: "", Name: "EncodeNet"},
 		{PkgPath: "nwade/internal/snap", Recv: "", Name: "DecodeNet"},
 		{PkgPath: "nwade/internal/snap", Recv: "", Name: "WriteNetFile"},
-		{PkgPath: "nwade/internal/snap", Recv: "", Name: "ReadNetFile"},
 		{PkgPath: "nwade/internal/roadnet", Recv: "", Name: "New"},
 		{PkgPath: "nwade/internal/roadnet", Recv: "", Name: "Restore"},
 		{PkgPath: "nwade/internal/roadnet", Recv: "Network", Name: "Snapshot"},

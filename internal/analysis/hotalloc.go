@@ -31,13 +31,12 @@ func DefaultHotAllocConfig() HotAllocConfig {
 		Functions: []string{
 			// Engine tick phases.
 			"step", "reindex", "spawn", "spawnBlocked",
-			"deliver", "deliverParallel", "claimGroup", "runPool",
-			"plainHandle", "dispatch", "tickIM", "tickVehicles", "claimPart",
+			"deliver", "plainHandle", "dispatch", "tickIM", "tickVehicles",
 			"sense", "senseScan",
 			"physics", "move", "legacyMove", "boxClearFor",
 			"obstacleAhead", "leaderGap", "violate", "collisions",
 			// Spatial grid per-tick path.
-			"rebuild", "gatherInto", "forEach", "forEachOrdered", "forEachOrderedWith",
+			"rebuild", "gatherInto", "forEach", "forEachOrdered",
 		},
 		PkgFunctions: map[string][]string{
 			// The road network's every-tick path. The exchange-cadence
@@ -54,12 +53,12 @@ func DefaultHotAllocConfig() HotAllocConfig {
 // `append`s to non-hoisted slices inside the configured per-tick
 // functions: the engine's allocation-free tick contract (DESIGN.md §12,
 // pinned by TestSteadyStateAllocBudget and the tickalloc bench gate)
-// requires every per-tick buffer to live in Engine or worker scratch
-// state and be reused via truncation.
+// requires every per-tick buffer to live in Engine state and be reused
+// via truncation.
 //
 // Hoisted means the destination ultimately aliases state that outlives
-// the call: a field (`e.tickList`, `w.neigh`), an element of such state,
-// or a local derived from one (`out := w.neigh[:0]`). A `make` is exempt
+// the call: a field (`e.pollBuf`, `e.neighBuf`), an element of such
+// state, or a local derived from one (`out := e.neighBuf[:0]`). A `make` is exempt
 // only when its result is stored straight into a field or element —
 // the lazy-init-then-clear idiom. Everything else is a per-tick heap
 // allocation: either hoist it or annotate the line with

@@ -32,18 +32,13 @@ type PhasePurityConfig struct {
 // DefaultPhasePurityConfig sanctions the two audited wall-clock shims
 // (the same ones the nodeterminism rule sanctions: the imbalance
 // statistic never feeds simulation state). No extra sync paths: every
-// synchronization the phase needs lives in the marked pool drivers.
+// synchronization the phase needs lives in the marked pool drivers, so
+// the engine a region worker steps must be free of sync.
 func DefaultPhasePurityConfig() PhasePurityConfig {
 	return PhasePurityConfig{
 		Sanctioned: []string{
 			"nwade/internal/obs.wallNow",
 			"nwade/internal/roadnet.wallNow",
-		},
-		// runPool is the engine's own pool driver; a region worker
-		// stepping its wholly-owned engine runs it nested, and its
-		// WaitGroup/atomic choreography is the sanctioned way in.
-		ApprovedSync: []string{
-			"nwade/internal/sim.Engine.runPool",
 		},
 		ApprovedSyncPackages: []string{
 			"nwade/internal/metrics",

@@ -56,10 +56,10 @@ func unlisted() {
 // droppedSnap discards checkpoint codec errors: a torn or unread
 // checkpoint must never pass silently.
 func droppedSnap(spec snap.Spec, st *sim.State) {
-	snap.Encode(os.Stdout, spec, st)   // want "error result of nwade/internal/snap\.Encode discarded"
-	snap.WriteFile("x.snap", spec, st) // want "error result of nwade/internal/snap\.WriteFile discarded"
-	_, _, _ = snap.Decode(os.Stdin)    // want "error result of nwade/internal/snap\.Decode assigned to _"
-	_, _, _ = snap.ReadFile("x.snap")  // want "error result of nwade/internal/snap\.ReadFile assigned to _"
+	snap.Encode(os.Stdout, spec, st)     // want "error result of nwade/internal/snap\.Encode discarded"
+	snap.WriteFile("x.snap", spec, st)   // want "error result of nwade/internal/snap\.WriteFile discarded"
+	_, _, _ = snap.Decode(os.Stdin)      // want "error result of nwade/internal/snap\.Decode assigned to _"
+	_, _, _, _ = snap.ReadFile("x.snap") // want "error result of nwade/internal/snap\.ReadFile assigned to _"
 }
 
 // checkedSnap handles every checkpoint error: nothing to report.
@@ -67,7 +67,7 @@ func checkedSnap(spec snap.Spec, st *sim.State) error {
 	if err := snap.Encode(os.Stdout, spec, st); err != nil {
 		return err
 	}
-	_, _, err := snap.ReadFile("x.snap")
+	_, _, _, err := snap.ReadFile("x.snap")
 	return err
 }
 

@@ -76,7 +76,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Faults, "faults", d.Faults, "network fault profile ("+strings.Join(vnet.FaultProfileNames(), ", ")+")")
 	fs.BoolVar(&f.Retrans, "retrans", d.Retrans, "enable the protocol retransmission layer (pair with -faults)")
 	fs.IntVar(&f.TickWorkers, "tick-workers", d.TickWorkers,
-		"in-run worker pool (per-tick phases for one intersection, regions for a network; results are bit-identical for any value)")
+		"region worker pool for -network runs (results are bit-identical for any value)")
 	return f
 }
 
@@ -149,27 +149,15 @@ func (c *Checkpoint) Signers() ([]*chain.Signer, error) {
 
 // Load reads a checkpoint of either kind and rebuilds its scenario.
 func Load(path string) (*Checkpoint, error) {
-	net, err := snap.IsNetFile(path)
+	spec, st, raw, err := snap.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	c := &Checkpoint{}
-	if net {
-		spec, raw, err := snap.ReadNetFile(path)
-		if err != nil {
+	c := &Checkpoint{Spec: spec, State: State{Single: st}}
+	if raw != nil {
+		if c.Net, err = roadnet.DecodeState(raw); err != nil {
 			return nil, err
 		}
-		st, err := roadnet.DecodeState(raw)
-		if err != nil {
-			return nil, err
-		}
-		c.Spec, c.Net = spec, st
-	} else {
-		spec, st, err := snap.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		c.Spec, c.Single = spec, st
 	}
 	c.Cfg, err = c.Spec.Scenario()
 	if err != nil {

@@ -39,9 +39,7 @@ func init() {
 // tickAllocSpec pins the measurement scenario: the golden-digest
 // reference intersection and density, arrivals cut off at 20s, warmed
 // until every spawned vehicle has crossed or settled and block issuance
-// has drained. Workers is forced to 1 — the measurement is of the tick
-// path itself, and the pool's goroutine machinery would add scheduler
-// noise without changing what the commit phase allocates.
+// has drained.
 const (
 	tickAllocCutoff = 20 * time.Second
 	tickAllocWarm   = 45 * time.Second
@@ -64,7 +62,6 @@ func TickAlloc(cfg Config) (*TickAllocResult, error) {
 		Seed:        cfg.BaseSeed,
 		NWADE:       true,
 		KeyBits:     cfg.KeyBits,
-		Workers:     1,
 		SpawnCutoff: tickAllocCutoff,
 	})
 	if err != nil {

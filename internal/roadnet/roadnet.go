@@ -255,7 +255,6 @@ func regionScenario(base sim.Scenario, reg *Region) sim.Scenario {
 	rc.Inter = reg.Inter
 	rc.Scheduler = nil // per-region instance, built from rc.Sched
 	rc.Seed = base.Seed + 1000*int64(reg.Index)
-	rc.Workers = 1 // parallelism lives at the region level
 	if reg.Index != base.AttackRegion {
 		rc.Attack = attack.Benign()
 	}

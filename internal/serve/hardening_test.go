@@ -112,7 +112,7 @@ func TestOverlayParity(t *testing.T) {
 		Network: "grid:2x2", Intersection: "mix", Density: 10,
 		Duration: "6s", Seed: &seed, Scenario: "V1", AttackAt: "2s",
 		AttackRegion: &region, NWADE: &off, KeyBits: 512,
-		Faults: "lossy", Retrans: &on, TickWorkers: 2,
+		Faults: "lossy", Retrans: &on,
 	}
 	flipped, err := full.overlay(base)
 	if err != nil {
@@ -122,7 +122,8 @@ func TestOverlayParity(t *testing.T) {
 		Network: "grid:2x2", Intersection: "mix", Density: 10,
 		Duration: 6 * time.Second, Seed: 9, AttackName: "V1",
 		AttackAt: 2 * time.Second, AttackRegion: 1, NWADE: false,
-		KeyBits: 512, Faults: "lossy", Retrans: true, TickWorkers: 2,
+		KeyBits: 512, Faults: "lossy", Retrans: true,
+		TickWorkers: base.TickWorkers, // not a submission field
 	}
 	if flipped != want {
 		t.Errorf("full overlay:\n got %+v\nwant %+v", flipped, want)

@@ -196,8 +196,6 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 		byNode:       make(map[vnet.NodeID]*body),
 		obs:          o.obs,
 		now:          st.Engine.Now,
-		workers:      cfg.Workers,
-		wctxs:        make([]workerCtx, cfg.Workers),
 	}
 	e.emit = e.sink()
 	e.rng, e.rngSrc = detrand.New(cfg.Seed)
@@ -209,7 +207,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 	}
 	e.gen = traffic.NewGenerator(cfg.Inter, e.genConfig(), cfg.Seed+2)
 	e.gen.RestoreState(st.Traffic)
-	e.im = nwade.NewIMCore(cfg.IMConfig, cfg.Inter, signer, cfg.Scheduler, e.imSink(), cfg.Attack.IMMalice())
+	e.im = nwade.NewIMCore(cfg.IMConfig, cfg.Inter, signer, cfg.Scheduler, e.emit, cfg.Attack.IMMalice())
 	e.im.SetObs(e.obs)
 	if err := e.im.RestoreState(st.Protocol.IM); err != nil {
 		return nil, fmt.Errorf("sim: restore: %w", err)
@@ -250,7 +248,7 @@ func Restore(cfg Scenario, st *State, opts ...Option) (*Engine, error) {
 			orderIdx: i, node: vnet.VehicleNode(uint64(bs.ID)),
 		}
 		core := nwade.NewVehicleCore(bs.ID, cs.Char, route, cfg.Inter, signer,
-			cfg.VehicleConfig, e.sinkFor(b), nil, cs.ArriveAt, cs.Speed0)
+			cfg.VehicleConfig, e.emit, nil, cs.ArriveAt, cs.Speed0)
 		core.SetObs(e.obs)
 		if cs.Malice != nil {
 			m := cfg.Attack.MaliceFor(bs.ID, e.roles)

@@ -249,21 +249,6 @@ func DecodeNet(r io.Reader) (Spec, []byte, error) {
 	return env.Spec, env.Net, nil
 }
 
-// IsNetFile reports whether the checkpoint at path holds a road-network
-// state, without fully deserializing it.
-func IsNetFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("snap: %w", err)
-	}
-	defer f.Close()
-	env, err := decodeEnvelope(f)
-	if err != nil {
-		return false, err
-	}
-	return len(env.Net) > 0, nil
-}
-
 // WriteFile encodes a single-intersection checkpoint to path.
 func WriteFile(path string, spec Spec, st *sim.State) error {
 	return writeFile(path, func(f io.Writer) error { return Encode(f, spec, st) })
@@ -289,24 +274,26 @@ func writeFile(path string, encode func(io.Writer) error) error {
 	return nil
 }
 
-// ReadFile decodes a single-intersection checkpoint from path.
-func ReadFile(path string) (Spec, *sim.State, error) {
+// ReadFile decodes a checkpoint of either kind from path in one pass.
+// Exactly one of the single-intersection state and the raw network
+// state (for roadnet.DecodeState) is set.
+func ReadFile(path string) (Spec, *sim.State, []byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return Spec{}, nil, fmt.Errorf("snap: %w", err)
+		return Spec{}, nil, nil, fmt.Errorf("snap: %w", err)
 	}
 	defer f.Close()
-	return Decode(f)
-}
-
-// ReadNetFile decodes a road-network checkpoint from path.
-func ReadNetFile(path string) (Spec, []byte, error) {
-	f, err := os.Open(path)
+	env, err := decodeEnvelope(f)
 	if err != nil {
-		return Spec{}, nil, fmt.Errorf("snap: %w", err)
+		return Spec{}, nil, nil, err
 	}
-	defer f.Close()
-	return DecodeNet(f)
+	if len(env.Net) > 0 {
+		return env.Spec, nil, env.Net, nil
+	}
+	if env.State == nil {
+		return Spec{}, nil, nil, fmt.Errorf("snap: decode: checkpoint has no state")
+	}
+	return env.Spec, env.State, nil, nil
 }
 
 // Subsystems are the digest keys reported by Digests, in report order.

@@ -2,6 +2,8 @@ package snap
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -162,8 +164,10 @@ func TestEncodeIsCanonical(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsBadEnvelope checks magic and version validation.
+// TestDecodeRejectsBadEnvelope checks magic and version validation, by
+// Decode and by ReadFile.
 func TestDecodeRejectsBadEnvelope(t *testing.T) {
+	dir := t.TempDir()
 	for _, tc := range []struct {
 		name, in, want string
 	}{
@@ -176,6 +180,14 @@ func TestDecodeRejectsBadEnvelope(t *testing.T) {
 		_, _, err := Decode(strings.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+		}
+		path := filepath.Join(dir, tc.name+".snap")
+		if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = ReadFile(path)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadFile err = %v, want containing %q", tc.name, err, tc.want)
 		}
 	}
 }
